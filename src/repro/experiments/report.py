@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .figures import FigureResult, LinkMapResult
 from .tables import HotspotTable, PAPER_TABLE_AVERAGES
 
@@ -56,6 +54,8 @@ def render_link_map(res: LinkMapResult,
     for util, src, dst, _lid in u.hottest(5):
         lines.append(f"   {util:6.1%}  {src:3d} -> {dst:3d}")
     if grid is not None:
+        import numpy as np  # deferred: keeps CLI start-up free of numpy
+
         rows, cols = grid
         per_switch = np.zeros(rows * cols)
         counts = np.zeros(rows * cols)

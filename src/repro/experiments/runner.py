@@ -90,6 +90,26 @@ def get_tables(g: NetworkGraph, topology_key: Tuple, scheme: str,
     return t
 
 
+def memo_routing(config: SimConfig, root: int = 0,
+                 sort_by_itbs: bool = False,
+                 tables: Optional[RoutingTables] = None
+                 ) -> Tuple[Tuple, NetworkGraph, RoutingTables]:
+    """``(topology key, graph, tables)`` of ``config`` through the memo.
+
+    The one lookup both :func:`run_simulation` and the orchestrator's
+    parent-side warm-up (:func:`repro.orchestrator.pool.warm_point_memo`)
+    go through, so a warmed entry is exactly the entry a run fetches.
+    Caller-injected ``tables`` are passed through; only the graph is
+    then looked up.
+    """
+    topo_key = (config.topology, _freeze_kwargs(config.topology_kwargs))
+    g = get_graph(config.topology, config.topology_kwargs)
+    if tables is None:
+        tables = get_tables(g, topo_key, config.routing, root,
+                            config.params.max_routes_per_pair, sort_by_itbs)
+    return topo_key, g, tables
+
+
 def clear_caches() -> None:
     """Drop memoised graphs, tables and schedules (tests use this)."""
     _GRAPH_CACHE.clear()
@@ -191,12 +211,8 @@ def _run_simulation(config: SimConfig, collect_links: bool,
                                     config.params.max_routes_per_pair,
                                     sort_by_itbs)
     else:
-        topo_key = (config.topology, _freeze_kwargs(config.topology_kwargs))
-        g = get_graph(config.topology, config.topology_kwargs)
-        if tables is None:
-            tables = get_tables(g, topo_key, config.routing, root,
-                                config.params.max_routes_per_pair,
-                                sort_by_itbs)
+        topo_key, g, tables = memo_routing(config, root, sort_by_itbs,
+                                           tables)
 
     sim = Simulator()
     policy = make_policy(config.policy, seed=config.seed)

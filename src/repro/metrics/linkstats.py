@@ -15,12 +15,15 @@ Section 4.7.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from ..config import MyrinetParams
 from ..sim.base import NetworkModel
+
+# numpy is imported where it is used, so ``import repro.cli`` does not
+# pay for it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,7 @@ class LinkUtilization:
     def hottest(self, k: int = 5) -> List[tuple]:
         """The ``k`` hottest directed channels as
         ``(utilisation, src, dst, link_id)``."""
+        import numpy as np
         order = np.argsort(self.utilization)[::-1][:k]
         return [(float(self.utilization[i]), *self.channel_ends[i])
                 for i in order]
@@ -73,6 +77,7 @@ class LinkUtilization:
     @classmethod
     def from_dict(cls, data: dict) -> "LinkUtilization":
         """Inverse of :meth:`to_dict`."""
+        import numpy as np
         return cls(
             window_ps=data["window_ps"],
             channel_ends=[tuple(e) for e in data["channel_ends"]],
@@ -91,6 +96,7 @@ def collect_link_stats(network: NetworkModel, window_ps: int,
     engines without the ``link_stats`` capability raise
     :class:`~repro.sim.base.UnsupportedCapability`.
     """
+    import numpy as np
     if window_ps <= 0:
         raise ValueError("window must be positive")
     ends = []

@@ -11,7 +11,11 @@ benchmark runner).  It composes the two lower layers:
 * the misses are fanned out through the
   :class:`~.pool.WorkerPool` (inline when ``workers=1``) and each
   result is persisted the moment it arrives, so an interrupted or
-  crashed campaign resumes from exactly where it stopped.
+  crashed campaign resumes from exactly where it stopped.  Before a
+  pool that forks runs simulation points, the parent builds each
+  distinct graph and routing-table set the missed points need into its
+  memo (:func:`~.pool.warm_point_memo`), so every child inherits them
+  instead of rebuilding them.
 
 :class:`Campaign` expresses one named artefact (a figure panel, a
 table) as an explicit point list and streams per-point progress --
@@ -30,7 +34,8 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from ..config import SimConfig
 from ..metrics.summary import RunSummary
 from .fabric import FabricPool
-from .pool import POINT_TASK_FN, Task, TaskResult, WorkerPool
+from .pool import (POINT_TASK_FN, Task, TaskResult, WorkerPool,
+                   warm_point_memo)
 from .store import ResultStore
 
 __all__ = ["Campaign", "CampaignError", "Executor", "ExecutorStats",
@@ -197,6 +202,12 @@ class Executor:
 
         failures: List[str] = []
         if misses:
+            if (fn == POINT_TASK_FN and isinstance(self.pool, WorkerPool)
+                    and self.pool.forks):
+                # build each distinct graph/table set once, here: every
+                # forked child then inherits it instead of rebuilding it
+                for i in misses:
+                    warm_point_memo(payloads[i])
             tasks = [Task(task_id=str(i), fn=fn, payload=payloads[i])
                      for i in misses]
 

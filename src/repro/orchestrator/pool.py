@@ -9,7 +9,10 @@ driven by the failure modes of long campaigns:
   a crashed or killed worker can never corrupt a shared task queue,
   it simply never reports, and the supervisor re-runs its task in a
   fresh process.  With the ``fork`` start method children also inherit
-  the parent's warm graph/table memo caches for free.
+  the parent's graph/table memo caches -- which hold something only
+  because the campaign layer fills them first
+  (:func:`warm_point_memo`); a child never passes a table it built
+  back to the parent or to its siblings.
 * **per-task timeout**: a hung worker (e.g. a pathological parameter
   point that never saturates the watchdog) is terminated and its task
   retried, up to ``retries`` extra attempts, then reported as failed.
@@ -41,11 +44,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import SimConfig
-from ..experiments.runner import run_simulation
+from ..experiments.runner import memo_routing, run_simulation
 from ..metrics.summary import RunSummary
 
 __all__ = ["Task", "TaskResult", "WorkerPool", "retry_delay_s",
-           "run_point_task"]
+           "run_point_task", "warm_point_memo"]
 
 #: seconds to keep waiting for the result of a worker that exited
 #: cleanly (exit code 0) before declaring it lost -- covers the queue
@@ -101,6 +104,26 @@ def run_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 #: fn-path of :func:`run_point_task`, used by the campaign layer
 POINT_TASK_FN = "repro.orchestrator.pool:run_point_task"
+
+#: runner kwargs that select a point's routing tables in the memo
+_MEMO_RUNNER_KWARGS = ("root", "sort_by_itbs")
+
+
+def warm_point_memo(payload: Dict[str, Any]) -> None:
+    """Build the graph and tables of one point task into this process's
+    memo, through the same lookup :func:`run_point_task` makes.
+
+    Best effort: a point that cannot be built is skipped, so its task
+    fails in its own worker exactly as it would unwarmed.
+    """
+    try:
+        cfg = SimConfig.from_dict(payload["config"])
+        cfg.validate()
+        kwargs = payload.get("runner_kwargs") or {}
+        memo_routing(cfg, **{k: kwargs[k] for k in _MEMO_RUNNER_KWARGS
+                             if k in kwargs})
+    except Exception:
+        pass
 
 
 def retry_delay_s(backoff_s: float, jitter: float, failed_attempt: int,
@@ -173,6 +196,12 @@ class WorkerPool:
             start_method = ("fork" if "fork" in mp.get_all_start_methods()
                             else "spawn")
         self.start_method = start_method
+
+    @property
+    def forks(self) -> bool:
+        """Whether :meth:`run` forks children that inherit this
+        process's memory (and so its memo caches)."""
+        return self.workers > 1 and self.start_method == "fork"
 
     def _retry_delay_s(self, failed_attempt: int) -> float:
         """Seconds to wait before re-running after ``failed_attempt``."""

@@ -154,11 +154,14 @@ class SourceRoute:
 
     @property
     def link_ids(self) -> Tuple[int, ...]:
-        """All link ids crossed, in order (computed once, then cached)."""
+        """All link ids crossed, in order (computed once, then cached;
+        a single-leg route hands out its leg's own tuple)."""
         try:
             return self._link_ids
         except AttributeError:
-            out = tuple(l for leg in self.legs for l in leg.links)
+            legs = self.legs
+            out = (legs[0].links if len(legs) == 1
+                   else tuple(l for leg in legs for l in leg.links))
             self._link_ids = out
             return out
 

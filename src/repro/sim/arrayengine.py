@@ -68,8 +68,6 @@ from bisect import bisect_right
 from heapq import heappush, heappop
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, CAP_INVARIANTS,
                    CAP_LINK_STATS, LinkChannelStats, NetworkModel)
 from .engines import register
@@ -536,6 +534,8 @@ class ArrayNetwork(NetworkModel):
         footprints are disjoint from the committed ones by construction,
         so the combined result is bit-identical to a fully scalar drain.
         """
+        import numpy as np  # only this kernel needs it: lean CLI start-up
+
         params = self.params
         fc = params.flit_cycle_ps
         lp = params.link_prop_ps

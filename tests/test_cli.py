@@ -234,3 +234,22 @@ class TestOrchestratorCommands:
                      "--warmup-ns", "20000", "--measure-ns",
                      "60000"]) == 0
         assert "delivered" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """``import repro.cli`` must not pay for numpy: only the array
+    engine's cohort kernel and the link-statistics helpers need it,
+    and they import it when they run."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = ("import sys, repro.cli\n"
+            "assert 'numpy' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('numpy'))[:5]\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

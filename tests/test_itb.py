@@ -1,12 +1,16 @@
 """In-transit buffer route construction (path splitting and host choice)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.routing.itb import (balance_first_alternatives, build_itb_routes,
                                split_path_at_violations)
 from repro.routing.minimal import enumerate_minimal_paths
+from repro.routing.table import compute_tables
 from repro.routing.updown import orient_links
-from repro.topology import build_torus
+from repro.topology import build, build_torus
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +169,72 @@ class TestBalanceFirstAlternatives:
             return max(load)
 
         assert max_load(bal) < max_load(raw)
+
+
+#: sha256 of each ``itb`` table's canonical form (:func:`_table_digest`),
+#: recorded from the build that gave every leg its own object; sharing
+#: equal legs must leave every one of them in place
+TABLE_DIGESTS = {
+    ("torus", (("cols", 4), ("rows", 4)), False):
+        "16fa2377fbee1b55c8347e24e178c882408bf9385acaf26585f0a524325bea20",
+    ("torus", (("cols", 4), ("rows", 4)), True):
+        "bc9bce88ad905e9affb127ec03a154134cf351132d4d57b785b33592e1b0c436",
+    ("torus", (), False):
+        "c97b271f473d91d13f8c00f216a060bf280b7d2988382bee8f9b1d32f74ffdee",
+    ("torus", (), True):
+        "2d48ef7eff16b97b84fc2214da2e91a031016a01fc383b97514de9d6ae9a2a1c",
+    ("torus-express", (), False):
+        "096badc2deae63a728bcc266e1b1607bfe4e0baf1ef913b502a2bff700b15e43",
+    ("torus-express", (), True):
+        "8ec9ea09cf652460293c88b726592505d5a93592763d644a168f3f6830343408",
+    ("cplant", (), False):
+        "203967f4941218e72cd3eb7e6a9ba50c3ba8086ce79ee572ac061fc03be08b42",
+    ("cplant", (), True):
+        "234386fb4d1c39fd558e2f2958f94d2a074e2460953373df4388563623541591",
+}
+
+
+def _table_digest(tables) -> str:
+    """sha256 over ``(pair, [(leg switches, leg links)...], itb_hosts)``
+    of every alternative, pairs in sorted order."""
+    h = hashlib.sha256()
+    for pair in sorted(tables.routes):
+        form = [list(pair),
+                [[[[list(leg.switches), list(leg.links)] for leg in r.legs],
+                  list(r.itb_hosts)] for r in tables.routes[pair]]]
+        h.update(json.dumps(form, separators=(",", ":")).encode())
+    return h.hexdigest()
+
+
+class TestTableIdentity:
+    """Shared legs change how a table is stored, never what it routes."""
+
+    @pytest.fixture(scope="module", params=sorted(TABLE_DIGESTS),
+                    ids=lambda case: "-".join(
+                        [case[0]] + [f"{k}{v}" for k, v in case[1]]
+                        + (["sorted"] if case[2] else [])))
+    def case(self, request):
+        topology, kwargs, sort_by_itbs = request.param
+        g = build(topology, **dict(kwargs))
+        return request.param, compute_tables(g, "itb", 0, 10, sort_by_itbs)
+
+    def test_digest_unchanged(self, case):
+        key, tables = case
+        assert _table_digest(tables) == TABLE_DIGESTS[key]
+
+    def test_equal_legs_are_one_object(self, case):
+        _key, tables = case
+        seen = {}
+        for alts in tables.routes.values():
+            for r in alts:
+                for leg in r.legs:
+                    assert seen.setdefault(leg, leg) is leg
+
+    def test_link_ids_unchanged(self, case):
+        _key, tables = case
+        for alts in tables.routes.values():
+            for r in alts:
+                assert r.link_ids == tuple(
+                    lid for leg in r.legs for lid in leg.links)
+                if len(r.legs) == 1:
+                    assert r.link_ids is r.legs[0].links

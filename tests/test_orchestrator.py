@@ -6,17 +6,21 @@ processes (forked children) can resolve them by ``module:callable``
 path exactly like the real simulation tasks.
 """
 
+import multiprocessing as mp
 import os
+import signal
 import time
 from collections import deque
 
 import pytest
 
+import repro.experiments.runner as runner_mod
+import repro.orchestrator.campaign as campaign_mod
 import repro.orchestrator.pool as pool_mod
 from repro.experiments.sweep import sweep_rates
-from repro.orchestrator import (Campaign, CampaignError, Executor, Point,
-                                ProgressReporter, ResultStore, Task,
-                                WorkerPool)
+from repro.orchestrator import (Campaign, CampaignError, Executor,
+                                FabricWorker, Point, ProgressReporter,
+                                ResultStore, Task, WorkerPool)
 from repro.units import ns
 from tests.conftest import small_config
 
@@ -342,6 +346,125 @@ class TestExecutor:
         out = ex.run_configs([small_config()])
         assert out[0].messages_delivered > 0
         assert ex.stats.simulated == 1 and ex.stats.cached == 0
+
+
+def _watch_builds(monkeypatch, children_may_build=False):
+    """Wrap the runner's graph and table builders.
+
+    Returns the list of builders called in this process, in call
+    order.  Unless ``children_may_build``, a call from any other
+    process (a forked child inherits the wrapper) raises, which fails
+    that child's task.
+    """
+    parent = os.getpid()
+    builds = []
+
+    def watch(name):
+        real = getattr(runner_mod, name)
+
+        def watched(*args, **kwargs):
+            if os.getpid() != parent:
+                if not children_may_build:
+                    raise AssertionError(f"{name} ran in a forked child")
+            else:
+                builds.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, name, watched)
+
+    watch("build_topology")
+    watch("compute_tables")
+    return builds
+
+
+def _watch_warms(monkeypatch):
+    """Record every parent-side warm-up the executor asks for."""
+    warms = []
+    real = campaign_mod.warm_point_memo
+
+    def watched(payload):
+        warms.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(campaign_mod, "warm_point_memo", watched)
+    return warms
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                    reason="children inherit the warm memo only via fork")
+class TestParentWarm:
+    """Forking executors build every table once, in the parent."""
+
+    CONFIGS = [small_config(injection_rate=0.005),
+               small_config(injection_rate=0.01),
+               small_config(routing="updown", policy="sp",
+                            injection_rate=0.005)]
+
+    def test_forked_children_build_nothing(self, tmp_path, monkeypatch):
+        builds = _watch_builds(monkeypatch)
+        ex = Executor(workers=2, store=ResultStore(tmp_path))
+        par = ex.run_configs(self.CONFIGS)
+        assert ex.stats.simulated == 3
+        # one graph and two table sets (itb, updown), each built once
+        assert builds == ["build_topology", "compute_tables",
+                          "compute_tables"]
+        runner_mod.clear_caches()
+        seq = Executor(workers=1).run_configs(self.CONFIGS)
+        assert [s.to_dict() for s in par] == [s.to_dict() for s in seq]
+
+    def test_cached_rerun_builds_nothing(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        Executor(workers=2, store=store).run_configs(self.CONFIGS)
+        runner_mod.clear_caches()
+        builds = _watch_builds(monkeypatch)
+        ex = Executor(workers=2, store=store)
+        ex.run_configs(self.CONFIGS)
+        assert ex.stats.cached == 3 and ex.stats.simulated == 0
+        assert builds == []
+
+    def test_inline_executor_does_not_warm(self, monkeypatch):
+        warms = _watch_warms(monkeypatch)
+        builds = _watch_builds(monkeypatch)
+        Executor(workers=1).run_configs(self.CONFIGS)
+        assert warms == []
+        # the runs' own memo lookups, nothing more
+        assert builds == ["build_topology", "compute_tables",
+                          "compute_tables"]
+
+    def test_fabric_executor_does_not_warm(self, monkeypatch):
+        warms = _watch_warms(monkeypatch)
+        builds = _watch_builds(monkeypatch, children_may_build=True)
+        worker = FabricWorker()
+        addr = worker.listen()
+        proc = mp.get_context("fork").Process(target=worker.serve_forever,
+                                              daemon=True)
+        proc.start()
+        worker._sock.close()           # parent's copy; the child serves
+        try:
+            ex = Executor(fabric=addr)
+            out = ex.run_configs(self.CONFIGS[:1])
+        finally:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=5.0)
+        assert out[0].messages_delivered > 0
+        assert warms == [] and builds == []
+
+    def test_failing_table_build_fails_only_its_point(self, tmp_path,
+                                                      monkeypatch):
+        real = runner_mod.compute_tables
+
+        def updown_breaks(g, scheme, *args):
+            if scheme == "updown":
+                raise RuntimeError("table build exploded")
+            return real(g, scheme, *args)
+
+        monkeypatch.setattr(runner_mod, "compute_tables", updown_breaks)
+        ex = Executor(workers=2, store=ResultStore(tmp_path))
+        with pytest.raises(CampaignError, match="1 of 3") as err:
+            ex.run_configs(self.CONFIGS)
+        assert "table build exploded" in str(err.value)
+        assert ex.stats.simulated == 2 and ex.stats.failed == 1
+        assert ResultStore(tmp_path).info().entries == 2
 
 
 class TestDeterminism:
