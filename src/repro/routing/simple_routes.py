@@ -10,11 +10,12 @@ minimal one is hot.
 Our implementation follows that description:
 
 1. for every ordered switch pair, enumerate candidate legal up*/down*
-   paths with length up to the shortest legal distance plus
-   ``length_slack`` (bounded enumeration, see
-   :func:`repro.routing.updown.enumerate_legal_paths`);
+   paths of the shortest legal length (bounded enumeration, see
+   :func:`repro.routing.updown.enumerate_legal_paths`), plus paths up to
+   ``length_slack`` hops longer when ``prefer_minimal`` is off;
 2. process pairs in a deterministic order and greedily pick, per pair,
-   the candidate minimising ``(total link weight, length, path)``;
+   the candidate minimising ``(length, total link weight, path)`` --
+   or ``(total link weight, length, path)`` without ``prefer_minimal``;
 3. add one unit of weight to every link of the chosen path (each pair
    carries the same offered load under the paper's traffic model).
 
@@ -26,10 +27,11 @@ allows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..topology.graph import NetworkGraph
-from .updown import UpDownOrientation, enumerate_legal_paths, legal_shortest_distances
+from .updown import (UP, UpDownOrientation, _enumerate_legal_paths,
+                     _legal_moves, legal_distances_to)
 
 
 def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
@@ -52,13 +54,24 @@ def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
     for balance (the behaviour the paper alludes to with "it may happen
     that the simple_routes program selects a non-minimal up*/down*
     path"); the ablation benches compare both.
+
+    Under ``prefer_minimal`` no path longer than the shortest legal one
+    can win, so ``length_slack`` only matters with ``prefer_minimal=
+    False`` and the slack candidates are enumerated only then.  Both
+    enumerations emit paths in lexicographic order, so the shortest ones
+    a slack run would find are already among the ``max_candidates``
+    shortest candidates: skipping it leaves every table unchanged.
     """
     if length_slack < 0:
         raise ValueError("length_slack must be >= 0")
     weight = [0] * g.num_links
     routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
-    legal_dist = [legal_shortest_distances(g, ud, s) for s in g.switches()]
+    moves = _legal_moves(g, ud)
+    # One backward legal-distance field per destination: it prunes every
+    # DFS toward that destination, and its phase-UP entry at ``src`` is
+    # the shortest legal src->dst distance.
+    to_dst = [legal_distances_to(g, ud, d) for d in g.switches()]
 
     # Deterministic pair order.  Interleaving by destination (rather than
     # iterating all destinations of switch 0 first) avoids systematically
@@ -68,36 +81,31 @@ def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
                    key=lambda p: ((p[0] + p[1]) % g.num_switches, p[0], p[1]))
 
     for src, dst in pairs:
+        h = to_dst[dst]
+        shortest = h[src][UP]
         # shortest legal candidates first (the bounded DFS with slack
-        # may otherwise hit its cap on slack-length paths only), then
-        # longer ones for balancing diversity
-        shortest = enumerate_legal_paths(g, ud, src, dst,
-                                         legal_dist[src][dst],
-                                         max_paths=max_candidates)
-        cands = list(shortest)
-        if length_slack > 0:
+        # may otherwise hit its cap on slack-length paths only), then,
+        # when weight ranks before length, longer ones for balancing
+        cands = _enumerate_legal_paths(moves, h, src, dst, shortest,
+                                       max_candidates)
+        if length_slack > 0 and not prefer_minimal:
             seen = set(cands)
-            extra = enumerate_legal_paths(
-                g, ud, src, dst, legal_dist[src][dst] + length_slack,
-                max_paths=max_candidates)
+            extra = _enumerate_legal_paths(moves, h, src, dst,
+                                           shortest + length_slack,
+                                           max_candidates)
             cands.extend(p for p in extra if p not in seen)
         if not cands:  # cannot happen on a connected graph
             raise RuntimeError(f"no legal up*/down* path {src}->{dst}")
-        best = None
         best_key = None
-        for path in cands:
-            w = 0
-            for a, b in zip(path, path[1:]):
-                w += weight[g.link_between(a, b)]  # type: ignore[index]
+        for path, lids in cands:
+            w = sum([weight[lid] for lid in lids])
             key = ((len(path), w, path) if prefer_minimal
                    else (w, len(path), path))
             if best_key is None or key < best_key:
-                best_key = key
-                best = path
-        assert best is not None
+                best_key, best, best_lids = key, path, lids
         routes[(src, dst)] = best
-        for a, b in zip(best, best[1:]):
-            weight[g.link_between(a, b)] += 1  # type: ignore[index]
+        for lid in best_lids:
+            weight[lid] += 1
 
     for s in g.switches():
         routes[(s, s)] = (s,)

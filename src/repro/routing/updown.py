@@ -32,6 +32,9 @@ from .spanning_tree import SpanningTree, build_spanning_tree
 #: phases of the layered legality graph
 UP, DOWN = 0, 1
 
+#: one legal hop: ``(neighbour, phase after the hop, link id)``
+_Move = Tuple[int, int, int]
+
 
 @dataclass(frozen=True)
 class UpDownOrientation:
@@ -152,6 +155,19 @@ def legal_distances_to(g: NetworkGraph, ud: UpDownOrientation,
     return dist
 
 
+def _legal_moves(g: NetworkGraph, ud: UpDownOrientation
+                 ) -> List[Tuple[List[_Move], List[_Move]]]:
+    """``moves[s][phase]``: the legal hops out of ``(s, phase)``,
+    ascending by neighbour id (from ``DOWN`` only the down hops) -- the
+    orientation resolved once instead of per DFS edge."""
+    moves: List[Tuple[List[_Move], List[_Move]]] = []
+    for s in g.switches():
+        from_up = [(nb, UP if ud.is_up(s, nb, lid) else DOWN, lid)
+                   for nb, lid in g.sorted_neighbors(s)]
+        moves.append((from_up, [m for m in from_up if m[1] == DOWN]))
+    return moves
+
+
 def enumerate_legal_paths(g: NetworkGraph, ud: UpDownOrientation,
                           src: int, dst: int, max_len: int,
                           max_paths: int = 32) -> List[Tuple[int, ...]]:
@@ -159,32 +175,43 @@ def enumerate_legal_paths(g: NetworkGraph, ud: UpDownOrientation,
 
     Depth-first with an admissible remaining-distance bound from
     :func:`legal_distances_to`, exploring neighbours in ascending switch
-    id for determinism.  Paths are returned in DFS order (shortest not
-    guaranteed first; callers sort as needed).
+    id for determinism.  Paths are returned in DFS order, which is
+    lexicographic order (shortest not guaranteed first; callers sort as
+    needed).
     """
     if src == dst:
         return [(src,)]
-    h = legal_distances_to(g, ud, dst)
-    out: List[Tuple[int, ...]] = []
-    on_path = [False] * g.num_switches
+    return [path for path, _ in _enumerate_legal_paths(
+        _legal_moves(g, ud), legal_distances_to(g, ud, dst),
+        src, dst, max_len, max_paths)]
+
+
+def _enumerate_legal_paths(moves: Sequence[Tuple[List[_Move], List[_Move]]],
+                           h: Sequence[Sequence[int]], src: int, dst: int,
+                           max_len: int, max_paths: int
+                           ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """:func:`enumerate_legal_paths` on precomputed :func:`_legal_moves`
+    and ``h = legal_distances_to(g, ud, dst)``, so a table build resolves
+    both once rather than once per pair.  Returns ``(switch path, link
+    ids)`` pairs, sparing the caller a link lookup per hop."""
+    out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    on_path = [False] * len(moves)
     on_path[src] = True
     path = [src]
+    lids: List[int] = []
 
     def dfs(s: int, phase: int) -> bool:
         """Returns False when the path cap has been reached."""
         if len(out) >= max_paths:
             return False
-        remaining = max_len - (len(path) - 1)
-        for nb, lid in g.sorted_neighbors(s):
+        remaining = max_len - len(lids)
+        for nb, nphase, lid in moves[s][phase]:
             if on_path[nb]:
                 continue
-            nphase = UP if ud.is_up(s, nb, lid) else DOWN
-            if nphase == UP and phase == DOWN:
-                continue  # illegal down->up transition
             if nb == dst:
                 if remaining < 1:
                     continue
-                out.append(tuple(path) + (dst,))
+                out.append((tuple(path) + (dst,), tuple(lids) + (lid,)))
                 if len(out) >= max_paths:
                     return False
                 continue
@@ -192,8 +219,10 @@ def enumerate_legal_paths(g: NetworkGraph, ud: UpDownOrientation,
                 continue  # cannot reach dst legally within the budget
             on_path[nb] = True
             path.append(nb)
+            lids.append(lid)
             ok = dfs(nb, nphase)
             path.pop()
+            lids.pop()
             on_path[nb] = False
             if not ok:
                 return False

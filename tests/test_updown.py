@@ -8,7 +8,7 @@ from repro.routing.spanning_tree import build_spanning_tree
 from repro.routing.updown import (DOWN, UP, enumerate_legal_paths,
                                   legal_distances_to,
                                   legal_shortest_distances, orient_links)
-from repro.topology import build_torus
+from repro.topology import build, build_torus
 from repro.topology.graph import NetworkGraph
 
 
@@ -146,21 +146,28 @@ class TestLegalDistances:
         # paths are minimal" for UP/DOWN)
         assert detours == 732
 
-    def test_distances_to_consistent(self, g44, ud44):
-        """legal_distances_to (backward) agrees with forward BFS."""
-        for dst in (0, 7, 12):
-            back = legal_distances_to(g44, ud44, dst)
-            for src in g44.switches():
-                fwd = legal_shortest_distances(g44, ud44, src)
-                assert back[src][UP] >= fwd[dst] or src == dst
-                # starting fresh (phase UP) must equal the legal distance
-                assert min(back[src][UP],
-                           g44.num_switches * 2 + 1) == \
-                    (back[src][UP])
-            # forward from src equals backward phase-UP entry
-            for src in g44.switches():
-                fwd = legal_shortest_distances(g44, ud44, src)
-                assert fwd[dst] == back[src][UP] if src != dst else True
+    def test_distances_to_consistent(self):
+        """legal_distances_to (backward) in phase UP is exactly the
+        forward legal distance, for every ordered pair."""
+        for topology, kwargs in [
+            ("torus", {"rows": 4, "cols": 4}),
+            ("torus", {}),
+            ("torus-express", {}),
+            ("cplant", {}),
+            ("mesh", {"rows": 4, "cols": 4}),
+            ("irregular", {"num_switches": 16, "seed": 3}),
+            ("mutated", {"base": "torus",
+                         "base_kwargs": {"rows": 4, "cols": 4},
+                         "failed_links": [3, 17]}),
+        ]:
+            g = build(topology, **kwargs)
+            ud = orient_links(g, root=0)
+            fwd = [legal_shortest_distances(g, ud, s) for s in g.switches()]
+            for dst in g.switches():
+                back = legal_distances_to(g, ud, dst)
+                for src in g.switches():
+                    assert back[src][UP] == fwd[src][dst], (topology, src,
+                                                            dst)
 
 
 class TestEnumerateLegalPaths:
