@@ -1,10 +1,14 @@
 """Parallel sweep orchestrator: worker pool, result store, campaigns.
 
-Five layers, composable and individually testable:
+Six layers, composable and individually testable:
 
+* :mod:`~repro.orchestrator.lease` -- :class:`~.lease.LeaseLedger`, the
+  one attempt/retry state machine both pools run (pending queue with
+  retry backoff, attempt-tagged leases, retry-or-fail, give-up,
+  input-ordered results); pure bookkeeping with an injectable clock;
 * :mod:`~repro.orchestrator.pool` -- fault-tolerant multiprocessing
-  worker pool (per-task timeout, bounded retry of crashed/hung
-  workers, inline degradation at ``workers=1``);
+  worker pool over the ledger (one process per task, per-task
+  timeout, crash detection, inline degradation at ``workers=1``);
 * :mod:`~repro.orchestrator.store` -- content-addressed on-disk result
   store keyed by a canonical hash of the full point description,
   giving checkpoint/resume, a stable results-artifact format, and a
@@ -12,8 +16,8 @@ Five layers, composable and individually testable:
   ``meta.json``, sharded objects, ``compact()`` + ``index.json``);
 * :mod:`~repro.orchestrator.fabric` -- the distributed campaign
   fabric: :class:`FabricWorker` remote work-queue processes and the
-  pool-compatible :class:`FabricPool` coordinator (lease-based handout
-  with timeout-driven re-lease over a length-prefixed JSON TCP
+  pool-compatible :class:`FabricPool` coordinator (the same ledger,
+  leased across worker connections over a length-prefixed JSON TCP
   protocol);
 * :mod:`~repro.orchestrator.serve` -- ``repro serve``:
   :class:`ReproServer`, a long-running HTTP service that accepts

@@ -16,31 +16,34 @@ the length-prefixed JSON frames of :mod:`~repro.orchestrator.wire`:
   is what lets :class:`~repro.orchestrator.campaign.Executor` swap it
   in behind ``fabric="host:port,..."`` with zero changes above.
 
-**Lease discipline.**  One thread per worker address pulls the next
-ready attempt off a shared queue and *leases* it to its worker.  A
-lease ends in exactly one of four ways:
+**Lease discipline.**  One thread per worker address leases the next
+ready attempt from a shared
+:class:`~repro.orchestrator.lease.LeaseLedger` -- the same attempt and
+retry state machine the local pool runs -- and sends it to its worker.
+The ledger owns the books; this module maps wire events onto its four
+lease endings:
 
-1. a ``result`` frame with the lease's attempt tag -> the outcome
-   (``ok`` finishes the task; ``err`` is a deterministic Python
-   exception and fails immediately, never retried -- same contract as
-   the local pool);
+1. a ``result`` frame -> :meth:`~LeaseLedger.result`, which credits it
+   only under the live attempt's tag (``ok`` finishes the task;
+   ``err`` is a deterministic Python exception and fails immediately,
+   never retried -- same contract as the local pool);
 2. the lease timeout (``lease_timeout_s``, the Executor's
-   ``timeout_s``) expires -> the connection is abandoned (a late
-   result on it can never be read, and the attempt tag would be
-   dropped anyway) and the task is re-leased with the pool's
-   exponential retry backoff;
-3. the connection dies mid-task (worker SIGKILLed, machine lost) ->
-   re-leased the same way, counting an attempt like a crashed local
-   worker;
-4. the task could not be *delivered* (connect refused, send failed) ->
-   re-queued without consuming an attempt: it provably never started.
+   ``timeout_s``) expires, or the connection dies mid-task (worker
+   SIGKILLed, machine lost) -> the session is abandoned and
+   :meth:`~LeaseLedger.lost` re-leases the task after the exponential
+   retry backoff, counting an attempt like a hung or crashed local
+   worker (a late result on the abandoned session can never be read);
+3. the task could not be *delivered* (connect refused, send failed) ->
+   :meth:`~LeaseLedger.undelivered` re-queues it without consuming an
+   attempt: it provably never started;
+4. every worker thread has gone -> :meth:`~LeaseLedger.give_up` fails
+   what is left loudly rather than hang.
 
 A worker whose address stays unreachable for ``connect_attempts``
-consecutive tries is declared dead and its thread exits; when every
-worker is dead the remaining tasks fail loudly rather than hang.
-Results stream back as they complete -- ``on_result`` fires under the
-pool lock in completion order, so progress reporting and incremental
-store writes behave exactly as with local workers.
+consecutive tries is declared dead and its thread exits.  All ledger
+calls happen under one ``threading.Condition``, so ``on_result``
+fires serialised, in completion order, and progress reporting and
+incremental store writes behave exactly as with local workers.
 
 Determinism: task execution is ``_resolve(fn)(payload)`` in a single
 worker process, the same call the inline pool makes, and the caller
@@ -52,16 +55,15 @@ execution no matter how leases interleave.
 from __future__ import annotations
 
 import os
-import random
 import socket
 import ssl
 import threading
 import time
 import traceback
-from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .pool import Task, TaskResult, _resolve, retry_delay_s
+from .lease import LeaseLedger, Task, TaskResult
+from .pool import _resolve
 from .wire import (WIRE_FORMAT, FrameError, format_addr, parse_addrs,
                    recv_frame, send_frame)
 
@@ -236,22 +238,6 @@ def worker_main(bind: str = "127.0.0.1:0",
 # coordinator side
 # ----------------------------------------------------------------------
 
-class _FabricState:
-    """Shared run() state: the lease queue and completion ledger."""
-
-    def __init__(self, tasks: Sequence[Task], n_workers: int):
-        self.cond = threading.Condition()
-        #: (task, attempt, not_before) -- identical shape to the local
-        #: pool's pending deque, so the backoff semantics transfer
-        self.pending = deque((t, 1, 0.0) for t in tasks)
-        self.done: Dict[str, TaskResult] = {}
-        self.total = len(tasks)
-        self.alive = n_workers
-
-    def finished(self) -> bool:
-        return len(self.done) >= self.total
-
-
 class FabricPool:
     """Lease tasks across remote fabric workers (drop-in pool).
 
@@ -260,8 +246,9 @@ class FabricPool:
     (``None`` = unbounded: worker *death* is still detected promptly
     via connection loss, only a live-but-hung worker can then stall
     the campaign, mirroring the local pool without ``timeout_s``).
-    ``retries``/``retry_backoff_s``/``retry_jitter`` follow
-    :class:`~repro.orchestrator.pool.WorkerPool` exactly.
+    ``retries``/``retry_backoff_s`` follow
+    :class:`~repro.orchestrator.pool.WorkerPool` exactly: both pools
+    keep their books in a :class:`~repro.orchestrator.lease.LeaseLedger`.
 
     ``tls_ca`` (a PEM bundle path) turns every dial into a TLS
     handshake verified against exactly that bundle (CA pinning --
@@ -273,7 +260,6 @@ class FabricPool:
 
     def __init__(self, addrs, lease_timeout_s: Optional[float] = None,
                  retries: int = 1, retry_backoff_s: float = 0.0,
-                 retry_jitter: float = 0.5,
                  connect_attempts: int = 5,
                  connect_backoff_s: float = 0.2,
                  tls_ca: Optional[str] = None):
@@ -289,7 +275,6 @@ class FabricPool:
         self.lease_timeout_s = lease_timeout_s
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
-        self.retry_jitter = retry_jitter
         self.connect_attempts = max(1, connect_attempts)
         self.connect_backoff_s = connect_backoff_s
         self._tls: Optional[ssl.SSLContext] = None
@@ -298,7 +283,6 @@ class FabricPool:
             self._tls.check_hostname = False   # workers addressed by IP
             self._tls.verify_mode = ssl.CERT_REQUIRED
             self._tls.load_verify_locations(cafile=tls_ca)
-        self._rng = random.Random()
 
     @property
     def workers(self) -> int:
@@ -310,84 +294,59 @@ class FabricPool:
     def run(self, tasks: Sequence[Task],
             on_result: Optional[Callable[[TaskResult], None]] = None
             ) -> List[TaskResult]:
-        """Execute every task on the fleet; results in input order."""
-        ids = [t.task_id for t in tasks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("task ids must be unique within one run() call")
+        """Execute every task on the fleet; results in input order.
+
+        An exception raised by ``on_result`` stops the run and
+        propagates, as from the local pool: no further result is
+        delivered and every lease thread exits at its next lease.
+        """
+        errors: List[BaseException] = []
+
+        def deliver(res: TaskResult) -> None:
+            # called under ``cond``, so completion handling (store
+            # writes, progress lines, executor stats) is serialised
+            # exactly as on the single-threaded local-pool path; an
+            # exception is kept for run() to re-raise, since raising it
+            # here would only kill one lease thread
+            if on_result is None or errors:
+                return
+            try:
+                on_result(res)
+            except BaseException as exc:
+                errors.append(exc)
+
+        ledger = LeaseLedger(tasks, self.retries, self.retry_backoff_s,
+                             deliver)
         if not tasks:
             return []
-        state = _FabricState(tasks, len(self.addrs))
+        cond = threading.Condition()
         threads = [
             threading.Thread(target=self._worker_loop,
-                             args=(addr, state, on_result),
+                             args=(addr, ledger, cond, errors),
                              name=f"fabric-{format_addr(addr)}",
                              daemon=True)
             for addr in self.addrs
         ]
         for t in threads:
             t.start()
-        with state.cond:
-            while not state.finished() and state.alive > 0:
-                state.cond.wait(timeout=0.2)
-            if not state.finished():
-                # every worker is gone; whatever is still pending can
-                # never run -- fail loudly instead of hanging
-                while state.pending:
-                    task, attempt, _nb = state.pending.popleft()
-                    self._finish_locked(
-                        state, on_result,
-                        TaskResult(task.task_id, None,
-                                   "no reachable fabric workers "
-                                   f"(fleet: {self.describe_fleet()})",
-                                   attempt, 0.0))
-            state.cond.notify_all()
+        with cond:
+            while not (ledger.finished or errors) \
+                    and any(t.is_alive() for t in threads):
+                cond.wait(timeout=0.2)
+            if not (ledger.finished or errors):
+                # every worker is gone; whatever is left can never run
+                # -- fail loudly instead of hanging
+                ledger.give_up("no reachable fabric workers "
+                               f"(fleet: {self.describe_fleet()})")
+            cond.notify_all()
+        if errors:
+            raise errors[0]
         for t in threads:
             t.join(timeout=10.0)
-        return [state.done[t.task_id] for t in tasks]
+        return ledger.results()
 
     def describe_fleet(self) -> str:
         return ",".join(format_addr(a) for a in self.addrs)
-
-    # -- completion / re-lease bookkeeping (under state.cond) -----------
-
-    def _finish_locked(self, state: _FabricState, on_result,
-                       res: TaskResult) -> None:
-        if res.task_id in state.done:
-            return                     # a duplicate outcome; first wins
-        state.done[res.task_id] = res
-        if on_result:
-            # called under the lock: completion handling (store writes,
-            # progress lines, executor stats) is serialised exactly as
-            # on the single-threaded local-pool path
-            on_result(res)
-        state.cond.notify_all()
-
-    def _release_locked(self, state: _FabricState, on_result, task: Task,
-                       attempt: int, started: float, reason: str,
-                       consume_attempt: bool = True) -> None:
-        """Return a leased task to the queue, or fail it out."""
-        if not consume_attempt:
-            state.pending.append((task, attempt, 0.0))
-        elif attempt <= self.retries:
-            not_before = time.monotonic() + retry_delay_s(
-                self.retry_backoff_s, self.retry_jitter, attempt, self._rng)
-            state.pending.append((task, attempt + 1, not_before))
-        else:
-            self._finish_locked(
-                state, on_result,
-                TaskResult(task.task_id, None,
-                           f"{reason} (after {attempt} attempts)",
-                           attempt, time.monotonic() - started))
-        state.cond.notify_all()
-
-    @staticmethod
-    def _next_ready_locked(state: _FabricState) -> Optional[tuple]:
-        now = time.monotonic()
-        for i, entry in enumerate(state.pending):
-            if entry[2] <= now:
-                del state.pending[i]
-                return entry
-        return None
 
     # -- per-worker lease thread ----------------------------------------
 
@@ -422,135 +381,102 @@ class FabricPool:
             sock.close()
             raise
 
-    def _worker_loop(self, addr: Tuple[str, int], state: _FabricState,
-                     on_result) -> None:
+    def _worker_loop(self, addr: Tuple[str, int], ledger: LeaseLedger,
+                     cond: threading.Condition,
+                     errors: List[BaseException]) -> None:
+        name = format_addr(addr)
         conn: Optional[socket.socket] = None
         dial_failures = 0
         try:
             while True:
-                # -- claim the next ready attempt ----------------------
-                with state.cond:
-                    entry = self._next_ready_locked(state)
-                    while entry is None:
-                        if state.finished():
+                # -- lease the next ready attempt ----------------------
+                with cond:
+                    while True:
+                        if ledger.finished or errors:
                             return
-                        # leased-elsewhere or backing off: wake when
+                        lease = ledger.lease()
+                        if lease is not None:
+                            break
+                        # leased elsewhere or backing off: wake when
                         # notified, or poll for backoff expiry
-                        state.cond.wait(timeout=0.1)
-                        entry = self._next_ready_locked(state)
-                task, attempt, _nb = entry
-                started = time.monotonic()
+                        cond.wait(timeout=0.1)
+                task, attempt = lease
 
-                # -- ensure a live session -----------------------------
+                # -- deliver it over a live session --------------------
                 if conn is None:
                     try:
                         conn = self._connect(addr)
                         dial_failures = 0
                     except (OSError, FrameError):
-                        dial_failures += 1
-                        with state.cond:
-                            # never started: no attempt consumed
-                            self._release_locked(state, on_result, task,
-                                                 attempt, started, "",
-                                                 consume_attempt=False)
-                            if dial_failures >= self.connect_attempts:
-                                state.alive -= 1
-                                state.cond.notify_all()
-                                return
-                        time.sleep(self.connect_backoff_s * dial_failures)
-                        continue
-
-                # -- hand out the lease --------------------------------
-                try:
-                    send_frame(conn, {"type": "task",
-                                      "task_id": task.task_id,
-                                      "attempt": attempt,
-                                      "fn": task.fn,
-                                      "payload": dict(task.payload)})
-                except OSError:
-                    self._drop_conn(conn)
-                    conn = None
-                    # an accept-then-die worker must not spin forever:
-                    # failed delivery counts against the dial budget too
+                        pass
+                if conn is not None:
+                    try:
+                        send_frame(conn, {"type": "task",
+                                          "task_id": task.task_id,
+                                          "attempt": attempt,
+                                          "fn": task.fn,
+                                          "payload": dict(task.payload)})
+                    except OSError:
+                        self._drop_conn(conn)
+                        conn = None
+                if conn is None:
+                    # the task never reached the worker, so no attempt
+                    # is used; a failed send counts against the dial
+                    # budget too, so an accept-then-die worker cannot
+                    # spin forever
                     dial_failures += 1
-                    with state.cond:
-                        # undeliverable: the task never reached the
-                        # worker, so the attempt is not consumed
-                        self._release_locked(state, on_result, task,
-                                             attempt, started, "",
-                                             consume_attempt=False)
-                        if dial_failures >= self.connect_attempts:
-                            state.alive -= 1
-                            state.cond.notify_all()
-                            return
+                    with cond:
+                        ledger.undelivered(task.task_id, attempt)
+                        cond.notify_all()
+                    if dial_failures >= self.connect_attempts:
+                        return
                     time.sleep(self.connect_backoff_s * dial_failures)
                     continue
 
                 # -- await the outcome ---------------------------------
                 conn.settimeout(self.lease_timeout_s)
+                reason = f"worker {name} lost mid-task"
                 try:
                     msg = recv_frame(conn)
                 except socket.timeout:
                     # lease expired: abandon the whole session -- the
                     # worker may still be computing the stale attempt,
                     # and a fresh dial will queue behind it
-                    self._drop_conn(conn)
-                    conn = None
-                    with state.cond:
-                        self._release_locked(
-                            state, on_result, task, attempt, started,
-                            f"lease expired after {self.lease_timeout_s}s "
-                            f"on {format_addr(addr)}")
-                    continue
+                    msg = None
+                    reason = (f"lease expired after {self.lease_timeout_s}s "
+                              f"on {name}")
                 except (OSError, FrameError):
                     msg = None         # connection died mid-task
-                finally:
-                    if conn is not None:
-                        try:
-                            conn.settimeout(None)
-                        except OSError:
-                            pass
-
-                if msg is None:
-                    self._drop_conn(conn)
-                    conn = None
-                    with state.cond:
-                        self._release_locked(
-                            state, on_result, task, attempt, started,
-                            f"worker {format_addr(addr)} lost mid-task")
+                credited = False
+                if msg is not None and msg.get("type") == "result" \
+                        and msg.get("task_id") == task.task_id:
+                    ok = msg.get("status") == "ok"
+                    elapsed = msg.get("elapsed_s")
+                    with cond:
+                        # the ledger checks the attempt tag; a clean
+                        # exception on the worker is deterministic and
+                        # is credited, never retried (pool contract)
+                        credited = ledger.result(
+                            task.task_id, msg.get("attempt"),
+                            value=msg.get("value") if ok else None,
+                            error=None if ok else str(msg.get("value")),
+                            elapsed_s=elapsed if isinstance(
+                                elapsed, (int, float)) else None)
+                        cond.notify_all()
+                if credited:
+                    dial_failures = 0  # the worker is demonstrably live
+                    conn.settimeout(None)
                     continue
-
-                # -- validate + record the result ----------------------
-                if (msg.get("type") != "result"
-                        or msg.get("task_id") != task.task_id
-                        or msg.get("attempt") != attempt):
+                if msg is not None:
                     # protocol desync (e.g. a stale result from a lease
                     # this coordinator never made): drop the session and
                     # re-lease; the attempt tag makes this safe
-                    self._drop_conn(conn)
-                    conn = None
-                    with state.cond:
-                        self._release_locked(
-                            state, on_result, task, attempt, started,
-                            f"worker {format_addr(addr)} answered out of "
-                            "protocol")
-                    continue
-
-                dial_failures = 0      # the worker is demonstrably live
-                elapsed = msg.get("elapsed_s")
-                if not isinstance(elapsed, (int, float)):
-                    elapsed = time.monotonic() - started
-                if msg.get("status") == "ok":
-                    res = TaskResult(task.task_id, msg.get("value"), None,
-                                     attempt, float(elapsed))
-                else:
-                    # a clean Python exception on the worker is
-                    # deterministic: report, never retry (pool contract)
-                    res = TaskResult(task.task_id, None,
-                                     str(msg.get("value")), attempt,
-                                     float(elapsed))
-                with state.cond:
-                    self._finish_locked(state, on_result, res)
+                    reason = f"worker {name} answered out of protocol"
+                self._drop_conn(conn)
+                conn = None
+                with cond:
+                    ledger.lost(task.task_id, attempt, reason)
+                    cond.notify_all()
         finally:
             if conn is not None:
                 try:

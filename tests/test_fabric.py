@@ -167,6 +167,35 @@ class TestFabricPool:
                 [Task("a", f"{_HERE}:double_task", {"x": 1}),
                  Task("a", f"{_HERE}:double_task", {"x": 2})])
 
+    def test_on_result_exception_propagates_instead_of_hanging(self,
+                                                                 fleet):
+        """A failing ``on_result`` (e.g. a store write hitting a full
+        disk) must surface from run(), as from the local pool -- run in
+        a thread so a hang fails the test instead of stalling it."""
+        ((addr, _),) = fleet(1)
+        pool = FabricPool(addr)
+        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+                 for i in range(4)]
+        calls = []
+        outcome = {}
+
+        def failing_put(res):
+            calls.append(res.task_id)
+            raise OSError("No space left on device")
+
+        def drive():
+            try:
+                outcome["returned"] = pool.run(tasks, on_result=failing_put)
+            except BaseException as exc:
+                outcome["raised"] = exc
+
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        thread.join(timeout=20.0)
+        assert not thread.is_alive(), "FabricPool.run hung"
+        assert isinstance(outcome.get("raised"), OSError)
+        assert calls == ["0"]      # nothing delivered after the failure
+
     def test_sigkilled_worker_task_releases_zero_lost(self, fleet):
         """A worker SIGKILLed mid-campaign loses no points: its lease
         dies with its socket and the task re-runs elsewhere."""

@@ -8,9 +8,9 @@ path exactly like the real simulation tasks.
 
 import multiprocessing as mp
 import os
+import random
 import signal
 import time
-from collections import deque
 
 import pytest
 
@@ -21,6 +21,8 @@ from repro.experiments.sweep import sweep_rates
 from repro.orchestrator import (Campaign, CampaignError, Executor,
                                 FabricWorker, Point, ProgressReporter,
                                 ResultStore, Task, WorkerPool)
+from repro.orchestrator.lease import (RETRY_JITTER, LeaseLedger,
+                                      retry_delay_s)
 from repro.units import ns
 from tests.conftest import small_config
 
@@ -149,26 +151,174 @@ class TestWorkerPoolParallel:
         assert "timed out" in results[0].error
 
 
+class _FakeClock:
+    """A settable clock: ledger time moves only when a test moves it."""
+
+    def __init__(self, now=0.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+class _ZeroRng:
+    """An rng whose jitter draw is always zero (exact backoff)."""
+
+    def random(self):
+        return 0.0
+
+
+def _retried_ledger():
+    """A one-task ledger whose attempt 1 was lost: attempt 2 is live."""
+    ledger = LeaseLedger([Task("t", "m:f")], retries=1,
+                         clock=_FakeClock())
+    ledger.lease()
+    ledger.lost("t", 1, "timed out")
+    assert ledger.lease() == (Task("t", "m:f"), 2)
+    return ledger
+
+
+class TestLeaseLedger:
+    """The one attempt/retry state machine both pools run, driven by a
+    fake clock: no process, socket or sleep."""
+
+    TASKS = [Task(f"t{i}", "m:f", {"x": i}) for i in range(3)]
+
+    def test_leases_go_out_in_input_order(self):
+        ledger = LeaseLedger(self.TASKS, clock=_FakeClock())
+        assert [ledger.lease() for _ in self.TASKS] == \
+            [(t, 1) for t in self.TASKS]
+        assert ledger.lease() is None
+
+    def test_results_in_input_order_whatever_the_completion_order(self):
+        clock = _FakeClock(5.0)
+        ledger = LeaseLedger(self.TASKS, clock=clock)
+        for _ in self.TASKS:
+            ledger.lease()
+        clock.now = 7.5
+        for t in reversed(self.TASKS):
+            assert ledger.result(t.task_id, 1, value={"x": t.payload["x"]})
+        assert ledger.finished
+        out = ledger.results()
+        assert [r.task_id for r in out] == ["t0", "t1", "t2"]
+        assert all(r.ok and r.attempts == 1 for r in out)
+        assert out[0].elapsed_s == 2.5          # leased at 5.0
+
+    def test_reported_elapsed_and_clean_exception(self):
+        ledger = LeaseLedger(self.TASKS[:1], retries=3,
+                             clock=_FakeClock())
+        ledger.lease()
+        assert ledger.result("t0", 1, error="ValueError: boom",
+                             elapsed_s=0.25)
+        res = ledger.results()[0]
+        # a clean exception is final: never re-queued
+        assert not res.ok and res.attempts == 1 and res.elapsed_s == 0.25
+        assert ledger.finished and ledger.lease() is None
+
+    def test_lost_retries_after_exact_backoff_then_fails(self):
+        clock = _FakeClock(10.0)
+        ledger = LeaseLedger(self.TASKS[:1], retries=1,
+                             retry_backoff_s=0.5, clock=clock,
+                             rng=_ZeroRng())
+        ledger.lease()
+        assert ledger.lost("t0", 1, "worker died with exit code 9")
+        assert ledger.wait_s() == 0.5
+        clock.now = 10.49
+        assert ledger.lease() is None           # still backing off
+        clock.now = 10.5
+        assert ledger.lease() == (self.TASKS[0], 2)
+        clock.now = 11.25
+        assert ledger.lost("t0", 2, "worker died with exit code 9")
+        res = ledger.results()[0]
+        assert res.error == "worker died with exit code 9 (after 2 attempts)"
+        assert res.attempts == 2 and res.elapsed_s == 0.75
+        assert ledger.finished
+
+    def test_undelivered_requeues_without_counting_an_attempt(self):
+        ledger = LeaseLedger(self.TASKS[:1], retries=0,
+                             retry_backoff_s=5.0, clock=_FakeClock())
+        for _ in range(10):
+            assert ledger.lease() == (self.TASKS[0], 1)
+            assert ledger.undelivered("t0", 1)
+            assert ledger.wait_s() == 0.0       # no backoff either
+        ledger.lease()
+        ledger.result("t0", 1, value={"ok": True})
+        assert ledger.results()[0].attempts == 1
+
+    def test_give_up_fails_every_pending_task(self):
+        seen = []
+        ledger = LeaseLedger(self.TASKS, retries=2,
+                             on_result=lambda r: seen.append(r.task_id),
+                             clock=_FakeClock(), rng=_ZeroRng())
+        for _ in self.TASKS:
+            ledger.lease()
+        ledger.result("t0", 1, value={})        # t0 done
+        ledger.undelivered("t1", 1)             # t1 pending, attempt 1
+        ledger.lost("t2", 1, "lost mid-task")   # t2 pending, attempt 2
+        ledger.give_up("no reachable fabric workers")
+        assert ledger.finished and ledger.lease() is None
+        t0, t1, t2 = ledger.results()
+        assert t0.ok
+        assert (t1.error, t1.attempts) == ("no reachable fabric workers", 1)
+        assert (t2.error, t2.attempts) == ("no reachable fabric workers", 2)
+        assert seen == ["t0", "t1", "t2"]
+        # a late report for a given-up task is not credited
+        assert not ledger.result("t1", 1, value={})
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            LeaseLedger([Task("a", "m:f"), Task("a", "m:g")])
+
+    def test_on_result_fires_exactly_once_per_task(self):
+        seen = []
+        clock = _FakeClock()
+        ledger = LeaseLedger(self.TASKS, retries=1,
+                             on_result=lambda r: seen.append(r.task_id),
+                             clock=clock)
+        for _ in self.TASKS:
+            ledger.lease()
+        ledger.lost("t0", 1, "crash")           # re-queued, not final
+        ledger.undelivered("t1", 1)             # re-queued, not final
+        ledger.result("t2", 1, value={})
+        ledger.result("t2", 1, value={})        # duplicate: dropped
+        assert seen == ["t2"]
+        while not ledger.finished:
+            task, attempt = ledger.lease()
+            ledger.result(task.task_id, attempt, value={})
+            ledger.result(task.task_id, attempt, value={})
+            ledger.lost(task.task_id, attempt, "late")
+        assert sorted(seen) == ["t0", "t1", "t2"]
+        assert ledger.results()[0].attempts == 2
+
+
 class TestStaleResultAttribution:
     """Queue entries are attempt-tagged: a result flushed by a
     terminated earlier attempt must never be credited to a live retry
     of the same task (regression for the untagged-tuple race)."""
 
     def test_claim_accepts_matching_attempt(self):
-        active = {"t": ("proc", "task", 2, 0.0)}
-        rec = WorkerPool._claim(active, "t", 2)
-        assert rec == ("proc", "task", 2, 0.0)
-        assert "t" not in active        # claimed records leave the map
+        ledger = _retried_ledger()      # attempt 2 is the live lease
+        assert ledger.result("t", 2, value={"v": 2})
+        assert ledger.finished
+        assert ledger.results()[0].value == {"v": 2}
+        assert ledger.results()[0].attempts == 2
+        # credited leases leave the ledger: a repeat is not credited
+        assert not ledger.result("t", 2, value={"v": 3})
 
     def test_claim_drops_stale_attempt(self):
         # attempt 1 was timed out and terminated, but its result hit
         # the queue first; attempt 2 is the live one
-        active = {"t": ("proc", "task", 2, 0.0)}
-        assert WorkerPool._claim(active, "t", 1) is None
-        assert "t" in active            # the live attempt stays in flight
+        ledger = _retried_ledger()
+        assert not ledger.result("t", 1, value={"v": 1})
+        assert not ledger.finished      # the live attempt stays in flight
+        assert ledger.result("t", 2, value={"v": 2})
+        assert ledger.results()[0].value == {"v": 2}
 
     def test_claim_drops_unknown_task(self):
-        assert WorkerPool._claim({}, "ghost", 1) is None
+        ledger = _retried_ledger()
+        assert not ledger.result("ghost", 1, value={})
+        assert not ledger.lost("ghost", 1, "gone")
+        assert not ledger.undelivered("ghost", 1)
 
     def test_timed_out_task_result_comes_from_the_retry(self, tmp_path):
         """End to end: attempt 1 hangs past the timeout and is killed;
@@ -188,14 +338,21 @@ class TestBackoffIdleSleep:
     spinning on the result queue at 20 Hz."""
 
     def test_backoff_wait_helper(self):
-        now = 100.0
-        pending = deque([("t1", 2, 103.5), ("t2", 2, 101.25)])
-        assert WorkerPool._backoff_wait_s(pending, now) == \
-            pytest.approx(1.25)
-        assert WorkerPool._backoff_wait_s(deque(), now) == 0.0
+        clock = _FakeClock(100.0)
+        ledger = LeaseLedger([Task("t1", "m:f"), Task("t2", "m:f")],
+                             retries=2, retry_backoff_s=1.25,
+                             clock=clock, rng=_ZeroRng())
+        ledger.lease(), ledger.lease()
+        assert ledger.wait_s() == 0.0   # nothing pending
+        ledger.lost("t1", 1, "crash")   # t1 may restart at 101.25
+        clock.now = 101.25
+        assert ledger.lease()[1] == 2
+        ledger.lost("t1", 2, "crash")   # t1 at 103.75 (doubled)
+        ledger.lost("t2", 1, "crash")   # t2 at 102.5, queued after t1
+        assert ledger.wait_s() == pytest.approx(1.25)
         # an already-expired backoff never produces a negative sleep
-        assert WorkerPool._backoff_wait_s(
-            deque([("t", 2, 99.0)]), now) == 0.0
+        clock.now = 103.0
+        assert ledger.wait_s() == 0.0
 
     def test_idle_backoff_sleeps_instead_of_polling(self, tmp_path,
                                                     monkeypatch):
@@ -210,8 +367,7 @@ class TestBackoffIdleSleep:
             real_sleep(seconds)
 
         monkeypatch.setattr(pool_mod.time, "sleep", recording_sleep)
-        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.6,
-                          retry_jitter=0.0)
+        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.6)
         flag = str(tmp_path / "flag")
         results = pool.run([Task("t", f"{_HERE}:crash_once_task",
                                  {"flag": flag})])
@@ -222,34 +378,49 @@ class TestBackoffIdleSleep:
 
 class TestRetryBackoff:
     def test_zero_backoff_means_no_delay(self):
-        pool = WorkerPool(workers=2)
-        assert pool._retry_delay_s(1) == 0.0
-        assert pool._retry_delay_s(5) == 0.0
+        rng = random.Random(0)
+        assert retry_delay_s(0.0, 1, rng) == 0.0
+        assert retry_delay_s(0.0, 5, rng) == 0.0
+        ledger = LeaseLedger([Task("t", "m:f")], retries=1,
+                             clock=_FakeClock())
+        ledger.lease()
+        ledger.lost("t", 1, "crash")
+        assert ledger.wait_s() == 0.0
+        assert ledger.lease()[1] == 2
 
     def test_delay_doubles_and_jitter_is_bounded(self):
-        pool = WorkerPool(workers=2, retry_backoff_s=0.5,
-                          retry_jitter=0.5)
-        for attempt in (1, 2, 3):
-            base = 0.5 * 2 ** (attempt - 1)
-            for _ in range(20):
-                d = pool._retry_delay_s(attempt)
-                assert base <= d <= base * 1.5
+        for _ in range(20):
+            clock = _FakeClock()
+            ledger = LeaseLedger([Task("t", "m:f")], retries=3,
+                                 retry_backoff_s=0.5, clock=clock)
+            for attempt in (1, 2, 3):
+                assert ledger.lease()[1] == attempt
+                ledger.lost("t", attempt, "crash")
+                base = 0.5 * 2 ** (attempt - 1)
+                d = ledger.wait_s()
+                assert base <= d <= base * (1 + RETRY_JITTER)
+                clock.now += d
 
     def test_no_jitter_is_deterministic(self):
-        pool = WorkerPool(workers=2, retry_backoff_s=1.0,
-                          retry_jitter=0.0)
-        assert pool._retry_delay_s(1) == 1.0
-        assert pool._retry_delay_s(3) == 4.0
+        clock = _FakeClock()
+        ledger = LeaseLedger([Task("t", "m:f")], retries=3,
+                             retry_backoff_s=1.0, clock=clock,
+                             rng=_ZeroRng())
+        delays = []
+        for attempt in (1, 2, 3):
+            ledger.lease()
+            ledger.lost("t", attempt, "crash")
+            delays.append(ledger.wait_s())
+            clock.now += delays[-1]
+        assert delays[0] == 1.0
+        assert delays[2] == 4.0
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError, match="retry_backoff_s"):
             WorkerPool(retry_backoff_s=-1.0)
-        with pytest.raises(ValueError, match="retry_jitter"):
-            WorkerPool(retry_jitter=-0.1)
 
     def test_crash_retry_waits_out_the_backoff(self, tmp_path):
-        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.5,
-                          retry_jitter=0.0)
+        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.5)
         flag = str(tmp_path / "flag")
         t0 = time.monotonic()
         results = pool.run([Task("t", f"{_HERE}:crash_once_task",
@@ -261,8 +432,7 @@ class TestRetryBackoff:
     def test_backoff_does_not_stall_other_tasks(self, tmp_path):
         """While one task sits out its backoff, fresh tasks keep
         launching."""
-        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=1.0,
-                          retry_jitter=0.0)
+        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=1.0)
         flag = str(tmp_path / "flag")
         tasks = [Task("crash", f"{_HERE}:crash_once_task",
                       {"flag": flag})] + \
