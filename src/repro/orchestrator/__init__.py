@@ -32,13 +32,31 @@ Six layers, composable and individually testable:
 
 from __future__ import annotations
 
+import importlib
+from typing import Any
+
 from .campaign import (Campaign, CampaignError, Executor, ExecutorStats,
                        Point, ProgressReporter)
-from .fabric import FabricPool, FabricWorker
 from .pool import Task, TaskResult, WorkerPool
-from .serve import ReproServer
 from .store import (CompactStats, DEFAULT_CACHE_DIR, ResultStore,
                     StoreInfo)
+
+#: exports resolved on first use: the fabric pulls in ``ssl`` and the
+#: server ``http.server``, which a local campaign never needs
+_LAZY = {"FabricPool": ".fabric", "FabricWorker": ".fabric",
+         "ReproServer": ".serve"}
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Campaign",

@@ -33,7 +33,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from ..config import SimConfig
 from ..metrics.summary import RunSummary
-from .fabric import FabricPool
 from .pool import (POINT_TASK_FN, Task, TaskResult, WorkerPool,
                    warm_point_memo)
 from .store import ResultStore
@@ -154,6 +153,7 @@ class Executor:
         if tls_ca is not None and fabric is None:
             raise ValueError("tls_ca applies to fabric workers only")
         if fabric is not None:
+            from .fabric import FabricPool  # only fabric runs pay for ssl
             self.pool = FabricPool(fabric, lease_timeout_s=timeout_s,
                                    retries=retries,
                                    retry_backoff_s=retry_backoff_s,

@@ -16,6 +16,9 @@ choices, driven by the failure modes of long campaigns:
   memo caches -- which hold something only because the campaign
   layer fills them first (:func:`warm_point_memo`); a child never
   passes a table it built back to the parent or to its siblings.
+  The parent's objects are frozen out of the cyclic collector's reach
+  (:func:`gc.freeze`) across each fork, so a child's collections never
+  walk the inherited tables.
 * **per-task timeout**: a hung worker (e.g. a pathological parameter
   point that never saturates the watchdog) is terminated and its task
   retried, up to ``retries`` extra attempts, then reported as failed.
@@ -36,6 +39,7 @@ content-addressed store.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import multiprocessing as mp
 import queue
@@ -211,7 +215,14 @@ class WorkerPool:
                         args=(result_q, task.task_id, attempt, task.fn,
                               task.payload),
                         daemon=True)
-                    proc.start()
+                    # a forked child inherits the fresh tables in the
+                    # young generations; frozen, its collector never
+                    # walks (and so never copies) them
+                    gc.freeze()
+                    try:
+                        proc.start()
+                    finally:
+                        gc.unfreeze()
                     active[task.task_id] = (proc, attempt, time.monotonic())
 
                 if not active:

@@ -9,18 +9,20 @@ legal route and the overall scheme stays deadlock-free while the packet
 follows a minimal path end to end.
 
 :func:`split_path_at_violations` performs the split for one path;
-:func:`build_itb_routes` applies it to the (capped) set of minimal paths
-of every switch pair and assigns concrete in-transit hosts, cycling
-through the hosts of each switch so that the ITB workload is spread over
-all NICs attached to it.
+:func:`build_itb_routes` produces the same split for the (capped) set
+of minimal paths of every switch pair, one walk per destination
+(:func:`minimal_alternatives_to`), and assigns concrete in-transit
+hosts, cycling through the hosts of each switch so that the ITB
+workload is spread over all NICs attached to it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from ..perf import collector_paused
 from ..topology.graph import NetworkGraph
-from .minimal import enumerate_minimal_path_links, minimal_dag_successors
+from .minimal import minimal_dag_successors
 from .routes import RouteLeg, SourceRoute
 from .updown import UpDownOrientation
 
@@ -143,21 +145,96 @@ def balance_first_alternatives(
                    key=lambda p: ((p[0] + p[1]) % g.num_switches,
                                   p[0], p[1]))
     out = dict(routes)
+    charged = weight.__getitem__
     for pair in pairs:
         alts = routes[pair]
+        first = alts[0]
         if len(alts) > 1:
-            def cost(route: SourceRoute) -> Tuple[int, int]:
-                return (sum(weight[lid] for lid in route.link_ids),
-                        route.num_itbs)
-            best = min(range(len(alts)), key=lambda i: cost(alts[i]))
+            # cost (weight of its links, in-transit hops); the first
+            # alternative of least cost wins
+            best = 0
+            best_cost = (sum(map(charged, first.link_ids)),
+                         len(first.itb_hosts))
+            for i in range(1, len(alts)):
+                route = alts[i]
+                cost = (sum(map(charged, route.link_ids)),
+                        len(route.itb_hosts))
+                if cost < best_cost:
+                    best, best_cost = i, cost
             if best != 0:
-                reordered = (alts[best],) + alts[:best] + alts[best + 1:]
-                out[pair] = reordered
-        for lid in out[pair][0].link_ids:
+                first = alts[best]
+                out[pair] = (first,) + alts[:best] + alts[best + 1:]
+        for lid in first.link_ids:
             weight[lid] += 1
     return out
 
 
+#: one alternative during the walk: ``(legs, link_ids, starts_up)`` --
+#: the path's legal legs, every link id it crosses, and whether its
+#: first hop goes up
+_Alt = Tuple[Tuple[RouteLeg, ...], Tuple[int, ...], bool]
+
+
+def minimal_alternatives_to(g: NetworkGraph, ud: UpDownOrientation,
+                            dst: int, max_paths: int,
+                            shared: Dict[RouteLeg, RouteLeg],
+                            ) -> List[List[_Alt]]:
+    """The first ``max_paths`` minimal paths from every switch to
+    ``dst``, already split into legal legs, in one pass.
+
+    Walks the shortest-path DAG toward ``dst`` in order of increasing
+    distance.  A switch's paths are its successors' paths, prefixed by
+    the hop to each successor in ascending switch id and capped -- the
+    order of :func:`~repro.routing.minimal.enumerate_minimal_path_links`,
+    so entry ``k`` of switch ``s`` is that enumerator's ``k``-th
+    ``s -> dst`` path.
+
+    The legs of a path come from its successor's: the hop prepends to
+    the first leg when it goes up, or when it goes down onto a path
+    whose first hop goes down too.  A down hop onto a path that starts
+    up is the down->up violation :func:`_segment_bounds` cuts at: it
+    becomes a leg of its own, with the in-transit switch at the
+    successor.  ``shared`` interns the legs across calls, as in
+    :func:`_route_from_path_links`, so equal legs are one object.
+    Unreachable switches get no entry.
+    """
+    alts: List[List[_Alt]] = [[] for _ in range(g.num_switches)]
+    if max_paths <= 0:
+        return alts
+    dist = g.shortest_distances(dst)
+    succ = minimal_dag_successors(g, dist)
+    up_end = ud.up_end
+    alts[dst] = [((RouteLeg((dst,), ()),), (), False)]
+    order = sorted((s for s in g.switches() if dist[s] > 0),
+                   key=dist.__getitem__)
+    intern = shared.setdefault
+    for s in order:
+        out: List[_Alt] = []
+        for nb, lid in succ[s]:
+            up = up_end[lid] == nb
+            for legs, lids, nb_up in alts[nb]:
+                first = legs[0]
+                if up or not nb_up:   # the hop joins the first leg
+                    leg = RouteLeg((s,) + first.switches,
+                                   (lid,) + first.links)
+                    leg = intern(leg, leg)
+                    if len(legs) == 1:
+                        out.append(((leg,), leg.links, up))
+                    else:
+                        out.append(((leg,) + legs[1:], (lid,) + lids, up))
+                else:                 # down->up at nb: cut there
+                    leg = RouteLeg((s, nb), (lid,))
+                    out.append(((intern(leg, leg),) + legs,
+                                (lid,) + lids, False))
+                if len(out) == max_paths:
+                    break
+            if len(out) == max_paths:
+                break
+        alts[s] = out
+    return alts
+
+
+@collector_paused()
 def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
                      max_routes_per_pair: int = 10,
                      sort_by_itbs: bool = False,
@@ -173,27 +250,36 @@ def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
     0.36 on the 8x8 torus, while picking the fewest-ITB alternative --
     ``sort_by_itbs=True``, studied in the ablation benches -- gives 0.22).
 
-    Equal legs within the returned table are one shared object (the
-    8x8 torus table holds 39,352 legs, 9,027 of them distinct).
+    One :func:`minimal_alternatives_to` pass per destination yields
+    every source's alternatives; in-transit hosts are then assigned in
+    (destination, source, alternative, leg) order.  Equal legs within
+    the returned table are one shared object (the 8x8 torus table holds
+    39,352 legs, 9,027 of them distinct).  The build makes no cyclic
+    garbage, so it runs with the collector paused.
     """
     routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]] = {}
     cycler = _ItbHostCycler(g)  # shared so ITB duty rotates over all NICs
     shared: Dict[RouteLeg, RouteLeg] = {}  # one object per distinct leg
     for dst in g.switches():
-        dist = g.shortest_distances(dst)
-        succ = minimal_dag_successors(g, dist)
+        alts = minimal_alternatives_to(g, ud, dst, max_routes_per_pair,
+                                       shared)
         for src in g.switches():
             if src == dst:
                 routes[(src, dst)] = (
                     SourceRoute((RouteLeg((src,), ()),)),)
                 continue
-            pls = enumerate_minimal_path_links(
-                g, src, dst, dist, max_paths=max_routes_per_pair, succ=succ)
-            alts = [_route_from_path_links(ud, p, l, cycler, shared)
-                    for p, l in pls]
+            pair_routes = []
+            for legs, lids, _up in alts[src]:
+                if len(legs) == 1:  # already legal -- the common case
+                    pair_routes.append(SourceRoute(legs))
+                    continue
+                route = SourceRoute(legs, tuple(
+                    [cycler.take(leg.end) for leg in legs[:-1]]))
+                route._link_ids = lids  # the walk has them in hand
+                pair_routes.append(route)
             if sort_by_itbs:
-                alts.sort(key=lambda r: (r.num_itbs, r.switch_path))
-            routes[(src, dst)] = tuple(alts)
+                pair_routes.sort(key=lambda r: (r.num_itbs, r.switch_path))
+            routes[(src, dst)] = tuple(pair_routes)
     if balance_sp:
         routes = balance_first_alternatives(g, routes)
     return routes

@@ -57,28 +57,30 @@ def enumerate_minimal_path_links(g: NetworkGraph, src: int, dst: int,
     if succ is None:
         succ = minimal_dag_successors(g, dist_to_dst)
     out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    if max_paths <= 0:
+        return out
+    # Iterative DFS: ``stack[i]`` iterates the successors of
+    # ``path[i]``.  A recursive closure would refer to itself and leave
+    # its whole working set as cyclic garbage for the collector.
     path = [src]
     lids: List[int] = []
-
-    def dfs(s: int) -> bool:
-        if len(out) >= max_paths:
-            return False
-        for nb, lid in succ[s]:
+    stack = [iter(succ[src])]
+    while stack:
+        for nb, lid in stack[-1]:
             if nb == dst:
                 out.append((tuple(path) + (dst,), tuple(lids) + (lid,)))
                 if len(out) >= max_paths:
-                    return False
+                    return out
                 continue
             path.append(nb)
             lids.append(lid)
-            ok = dfs(nb)
+            stack.append(iter(succ[nb]))
+            break
+        else:
+            stack.pop()
             path.pop()
-            lids.pop()
-            if not ok:
-                return False
-        return True
-
-    dfs(src)
+            if lids:
+                lids.pop()
     return out
 
 

@@ -14,7 +14,9 @@ link.  This module provides:
 * :func:`legal_shortest_distances` -- single-source shortest *legal*
   distances via BFS on the (switch, phase) layered graph;
 * :func:`enumerate_legal_paths` -- bounded enumeration of simple legal
-  paths, used by the ``simple_routes`` reimplementation.
+  paths, used by the ``simple_routes`` reimplementation;
+* :func:`_tight_legal_moves` -- the shortest-legal-path DAG toward one
+  destination, which ``simple_routes`` walks under ``prefer_minimal``.
 
 The layered graph has a node per (switch, phase) with phase ``UP`` (no
 down-link taken yet; may still go up or down) or ``DOWN`` (a down-link
@@ -168,6 +170,28 @@ def _legal_moves(g: NetworkGraph, ud: UpDownOrientation
     return moves
 
 
+def _tight_legal_moves(moves: Sequence[Tuple[List[_Move], List[_Move]]],
+                       h: Sequence[Sequence[int]]
+                       ) -> List[Tuple[Sequence[_Move], Sequence[_Move]]]:
+    """``tight[s][phase]``: the moves out of ``(s, phase)`` that start a
+    shortest legal continuation to the destination of ``h =
+    legal_distances_to(g, ud, dst)`` -- those with ``h[nb][nphase] ==
+    h[s][phase] - 1`` -- in :func:`_legal_moves` order.
+
+    This is the shortest-legal-path DAG over (switch, phase).  Distances
+    fall by one per hop, so no path on it revisits a switch: a switch
+    reached in phase ``UP`` has ``h[s][UP] <= h[s][DOWN]``, and no
+    legal path returns to ``UP``.
+    """
+    tight: List[Tuple[Sequence[_Move], Sequence[_Move]]] = []
+    for s, (from_up, from_down) in enumerate(moves):
+        up_next, down_next = h[s][UP] - 1, h[s][DOWN] - 1
+        tight.append(
+            ([m for m in from_up if h[m[0]][m[1]] == up_next] or (),
+             [m for m in from_down if h[m[0]][m[1]] == down_next] or ()))
+    return tight
+
+
 def enumerate_legal_paths(g: NetworkGraph, ud: UpDownOrientation,
                           src: int, dst: int, max_len: int,
                           max_paths: int = 32) -> List[Tuple[int, ...]]:
@@ -195,17 +219,19 @@ def _enumerate_legal_paths(moves: Sequence[Tuple[List[_Move], List[_Move]]],
     both once rather than once per pair.  Returns ``(switch path, link
     ids)`` pairs, sparing the caller a link lookup per hop."""
     out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    if max_paths <= 0:
+        return out
+    # Iterative DFS: ``stack[i]`` iterates the moves out of ``path[i]``
+    # (a recursive closure would leave its working set, every discarded
+    # candidate included, as cyclic garbage).
     on_path = [False] * len(moves)
     on_path[src] = True
     path = [src]
     lids: List[int] = []
-
-    def dfs(s: int, phase: int) -> bool:
-        """Returns False when the path cap has been reached."""
-        if len(out) >= max_paths:
-            return False
+    stack = [iter(moves[src][UP])]
+    while stack:
         remaining = max_len - len(lids)
-        for nb, nphase, lid in moves[s][phase]:
+        for nb, nphase, lid in stack[-1]:
             if on_path[nb]:
                 continue
             if nb == dst:
@@ -213,20 +239,18 @@ def _enumerate_legal_paths(moves: Sequence[Tuple[List[_Move], List[_Move]]],
                     continue
                 out.append((tuple(path) + (dst,), tuple(lids) + (lid,)))
                 if len(out) >= max_paths:
-                    return False
+                    return out
                 continue
             if 1 + h[nb][nphase] > remaining:
                 continue  # cannot reach dst legally within the budget
             on_path[nb] = True
             path.append(nb)
             lids.append(lid)
-            ok = dfs(nb, nphase)
-            path.pop()
-            lids.pop()
-            on_path[nb] = False
-            if not ok:
-                return False
-        return True
-
-    dfs(src, UP)
+            stack.append(iter(moves[nb][nphase]))
+            break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
+            if lids:
+                lids.pop()
     return out

@@ -253,3 +253,27 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_ssl_and_http_server_unloaded():
+    """``import repro.cli`` must not pay for the fabric's ``ssl`` or the
+    service's ``http.server``: ``repro.orchestrator`` resolves
+    ``FabricPool``, ``FabricWorker`` and ``ReproServer`` on first use,
+    and an executor imports the fabric only for fabric workers."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = ("import sys, repro.cli\n"
+            "from repro.orchestrator import Executor\n"
+            "Executor(workers=2)\n"
+            "loaded = [m for m in ('ssl', 'http.server') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from repro.orchestrator import FabricPool, ReproServer\n"
+            "assert 'ssl' in sys.modules and 'http.server' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -6,9 +6,11 @@ import json
 import pytest
 
 from repro.routing.itb import (balance_first_alternatives, build_itb_routes,
+                               minimal_alternatives_to,
                                split_path_at_violations)
-from repro.routing.minimal import enumerate_minimal_paths
-from repro.routing.table import compute_tables
+from repro.routing.minimal import (enumerate_minimal_path_links,
+                                   enumerate_minimal_paths)
+from repro.routing.table import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
 from repro.topology import build, build_torus
 
@@ -191,6 +193,27 @@ TABLE_DIGESTS = {
         "203967f4941218e72cd3eb7e6a9ba50c3ba8086ce79ee572ac061fc03be08b42",
     ("cplant", (), True):
         "234386fb4d1c39fd558e2f2958f94d2a074e2460953373df4388563623541591",
+    # recorded from the build that enumerated each pair's minimal paths
+    # on its own; the per-destination walk must reproduce them
+    ("mesh", (("cols", 4), ("rows", 4)), False):
+        "79a0af46608d33b9f5d8a1f90a761b8d84909dcf20fbd62df45b61c94958a323",
+    ("irregular", (), False):
+        "28c35fb379ab4f181b87626012816a0337957dc1d40700dccfed02ae2dc7a76d",
+    ("mutated", (("base", "torus"), ("failed_links", (3, 17))), False):
+        "205489b0ea592af5863c92f5b8a9eea73ba94c35b55188595bd629071ab9fcf6",
+    ("torus", (("cols", 12), ("rows", 12)), False):
+        "905f38559197f40095be31221b8bbd02a309f00bf2a47a94c2f6dec8cca74d11",
+}
+
+#: the same digest for tables built outside the fixture's ``itb`` scheme
+#: call, recorded alongside the per-pair entries above
+OTHER_TABLE_DIGESTS = {
+    # the 8x8 torus without the SP balance pass (enumeration order)
+    "itb-unbalanced":
+        "b7cf3b8789275e1a00f5a04ee40cd61e76be70d3261fda3fd49641671c8259d1",
+    # outflank on the 8x8 torus shares the balance pass
+    "outflank":
+        "b778e4fa167014a50bc9a09bbd64cf0b98eeceb22c472a165921ce5117631a94",
 }
 
 
@@ -238,3 +261,44 @@ class TestTableIdentity:
                     lid for leg in r.legs for lid in leg.links)
                 if len(r.legs) == 1:
                     assert r.link_ids is r.legs[0].links
+
+    def test_unbalanced_digest_unchanged(self):
+        g = build("torus")
+        ud = orient_links(g, 0)
+        routes = build_itb_routes(g, ud, 10, False, balance_sp=False)
+        assert (_table_digest(RoutingTables("itb", 0, ud, routes))
+                == OTHER_TABLE_DIGESTS["itb-unbalanced"])
+
+    def test_outflank_digest_unchanged(self):
+        assert (_table_digest(compute_tables(build("torus"), "outflank"))
+                == OTHER_TABLE_DIGESTS["outflank"])
+
+
+class TestPerDestinationWalk:
+    """One walk per destination replaces the per-pair enumerator, which
+    stays as the reference."""
+
+    @pytest.mark.parametrize("topology", ["torus", "torus-express",
+                                          "cplant", "irregular"])
+    def test_matches_the_per_pair_enumerator(self, topology):
+        g = build(topology)
+        ud = orient_links(g, 0)
+        shared = {}
+        for dst in g.switches():
+            dist = g.shortest_distances(dst)
+            alts = minimal_alternatives_to(g, ud, dst, 10, shared)
+            for src in g.switches():
+                if src == dst:
+                    continue
+                walked = []
+                for legs, lids, starts_up in alts[src]:
+                    path = legs[0].switches + tuple(
+                        sw for leg in legs[1:] for sw in leg.switches[1:])
+                    assert lids == tuple(l for leg in legs
+                                         for l in leg.links)
+                    assert [leg.switches for leg in legs] == \
+                        split_path_at_violations(g, ud, path)
+                    assert starts_up == (ud.up_end[lids[0]] == path[1])
+                    walked.append((path, lids))
+                assert walked == enumerate_minimal_path_links(
+                    g, src, dst, dist, max_paths=10)

@@ -175,6 +175,10 @@ ROUTE_DIGESTS = {
         "a4e5f0993510240430510100ef9f52cb8cb774ba98916e16333a8072ddb7627a",
     ("torus", _T44, ()):
         "adda0c9f2064eb8ce8d7e1181f55debac9c5eace3fdb85aee948f6f7953cfe59",
+    # recorded from the build that enumerated each pair's candidates
+    # with the bounded DFS
+    ("torus", (("cols", 12), ("rows", 12)), ()):
+        "8470596f49f09e6721367b0f35d14b70356310e13f57a7ef29b5e13a21b9de44",
     ("torus", _T44, (("length_slack", 0),)):
         "adda0c9f2064eb8ce8d7e1181f55debac9c5eace3fdb85aee948f6f7953cfe59",
     ("torus", _T44, (("max_candidates", 8),)):
